@@ -2,34 +2,32 @@
 //! areas, drained by a bounded work-stealing worker pool.
 //!
 //! Every (area, location, run) job is enumerated up front with its seed.
-//! On the clean path, contiguous same-area jobs are grouped into batches
-//! and each worker steps a whole [`UeBatch`] of UEs through that area's
+//! Each job is simulated once, as a one-UE [`UeBatch`] over its area's
 //! shared [`RadioTables`] — the radio precomputation (shadowing fields,
 //! channel cell lists, compiled path-loss constants) is built once per
-//! area instead of once per run, and every UE in the batch memoizes its
-//! sweep against the shared tables. Workers claim batches through a
-//! shared atomic cursor and accumulate into **private** [`Aggregates`]
+//! area instead of once per run. Workers claim jobs through a shared
+//! atomic cursor, run them out of a per-worker scratch (pooled recorders,
+//! outputs and analyzers) and accumulate into **private** [`Aggregates`]
 //! shards — no lock is held anywhere on the hot path. Shards are folded
 //! together once at the end through commutative [`Merge`] operations and
-//! a final deterministic record sort; because every UE in a batch is
-//! fully independent (exact memoization, not approximation), the
-//! resulting [`Dataset`] is bitwise-identical for any worker count *and*
-//! any batch grouping.
+//! a final deterministic record sort, so the resulting [`Dataset`] is
+//! bitwise-identical for any worker count.
 //!
-//! With [`CampaignConfig::chaos`] set, every run instead goes through the
-//! dirty-capture pipeline (render → corrupt → lossy re-parse → analyze),
-//! failed runs are retried with backoff, and persistently failing runs are
-//! quarantined into the dataset's [`QuarantineReport`] instead of aborting
-//! the campaign — a worker never lets one poisoned run take down the
-//! other several hundred.
+//! With [`CampaignConfig::chaos`] set, the same pipeline applies the
+//! dirty capture as a transform on each simulated run (render → corrupt →
+//! lossy re-parse → analyze): failed attempts are retried with backoff
+//! and a fresh chaos seed over the same rendered log, and persistently
+//! failing runs are quarantined into the dataset's [`QuarantineReport`]
+//! instead of aborting the campaign — a worker never lets one poisoned
+//! run take down the other several hundred.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModStats};
-use onoff_detect::TraceAnalyzer;
-use onoff_nsglog::parse_str_lossy;
+use onoff_detect::{RunAnalysis, TraceAnalyzer};
+use onoff_nsglog::parse_str_lossy_into;
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::RadioTables;
@@ -107,6 +105,9 @@ impl Default for CampaignConfig {
     }
 }
 
+/// Measurement period of every stationary run, ms.
+const MEAS_PERIOD_MS: u64 = 1000;
+
 /// Runs one stationary experiment and condenses it to a record.
 pub fn run_location(
     area: &Area,
@@ -114,7 +115,7 @@ pub fn run_location(
     device: PhoneModel,
     seed: u64,
     duration_ms: u64,
-) -> (RunRecord, onoff_sim::SimOutput, onoff_detect::RunAnalysis) {
+) -> (RunRecord, SimOutput, RunAnalysis) {
     run_location_with_policy(
         area,
         location,
@@ -133,51 +134,9 @@ pub fn run_location_with_policy(
     device: PhoneModel,
     seed: u64,
     duration_ms: u64,
-    policy: onoff_policy::OperatorPolicy,
-) -> (RunRecord, onoff_sim::SimOutput, onoff_detect::RunAnalysis) {
-    let scoring = scoring_config_for(area.operator, &policy);
-    let out = simulate(&sim_config(
-        area,
-        location,
-        device,
-        seed,
-        duration_ms,
-        policy,
-    ));
-    // Fused hot path: simulator output goes straight into the incremental
-    // analysis core — no emit→parse text round-trip, no event re-buffering.
-    // Sim events are time-ordered, so the bare core applies; agreement with
-    // the text round-trip is enforced by `tests/fused_roundtrip.rs`. The
-    // same pass drives the online §6 scorer, so predictions ride along at
-    // zero extra trace traversals.
-    let mut core = TraceAnalyzer::with_scoring(scoring);
-    for ev in &out.events {
-        core.feed(ev);
-    }
-    let predictions = core.predictions().expect("scoring enabled");
-    let analysis = core.finish();
-    let record = RunRecord::from_run(
-        area.operator,
-        &area.name,
-        location,
-        device,
-        seed,
-        &out,
-        &analysis,
-        &predictions,
-    );
-    (record, out, analysis)
-}
-
-/// The stationary-run simulator config every pipeline variant shares.
-fn sim_config(
-    area: &Area,
-    location: usize,
-    device: PhoneModel,
-    seed: u64,
-    duration_ms: u64,
-    policy: onoff_policy::OperatorPolicy,
-) -> SimConfig {
+    policy: OperatorPolicy,
+) -> (RunRecord, SimOutput, RunAnalysis) {
+    let mut core = TraceAnalyzer::with_scoring(scoring_config_for(area.operator, &policy));
     let mut cfg = SimConfig::stationary(
         policy,
         device,
@@ -186,81 +145,68 @@ fn sim_config(
         seed,
     );
     cfg.duration_ms = duration_ms;
-    cfg.meas_period_ms = 1000;
-    cfg
+    cfg.meas_period_ms = MEAS_PERIOD_MS;
+    let out = simulate(&cfg);
+    let (record, analysis) = analyze_run(&mut core, area, location, device, seed, &out);
+    (record, out, analysis)
 }
 
-/// One stationary run through the dirty-capture pipeline: simulate, render
-/// the trace to NSG text, corrupt it with the seeded chaos engine,
-/// re-parse under the lossy policy, and analyze what survived. The record
-/// is built over the *surviving* events, so its counters reflect what an
-/// analyst reading the dirty capture would actually see.
-#[allow(clippy::too_many_arguments)]
-fn run_location_chaotic(
+/// Feeds one run's trace through a reset analyzer and condenses it to a
+/// record.
+///
+/// Fused hot path: simulator output goes straight into the incremental
+/// analysis core — no emit→parse text round-trip, no event re-buffering.
+/// Sim events are time-ordered, so the bare core applies; agreement with
+/// the text round-trip is enforced by `tests/fused_roundtrip.rs`. The same
+/// pass drives the online §6 scorer, so predictions ride along at zero
+/// extra trace traversals. `reset` is observationally identical to a fresh
+/// core (pinned by `reset_core_equals_fresh_core` in `onoff-detect`), so a
+/// pooled analyzer and a fresh one give the same record.
+fn analyze_run(
+    core: &mut TraceAnalyzer,
     area: &Area,
     location: usize,
     device: PhoneModel,
     seed: u64,
-    duration_ms: u64,
-    chaos: &ChaosConfig,
-    policy: onoff_nsglog::RecoveryPolicy,
-    chaos_seed: u64,
-) -> (
-    RunRecord,
-    SimOutput,
-    onoff_detect::RunAnalysis,
-    onoff_nsglog::ParseStats,
-) {
-    let operator_policy = policy_for(area.operator);
-    let scoring = scoring_config_for(area.operator, &operator_policy);
-    let out = simulate(&sim_config(
-        area,
-        location,
-        device,
-        seed,
-        duration_ms,
-        operator_policy,
-    ));
-    let mut engine = ChaosEngine::new(chaos.clone(), chaos_seed);
-    let dirty = engine.corrupt_text(&out.to_log());
-    let (events, stats) = parse_str_lossy(&dirty, policy);
-    // Score the *surviving* events: predictions, like every other counter
-    // in the record, reflect what an analyst reading the dirty capture
-    // would see.
-    let mut core = TraceAnalyzer::with_scoring(scoring);
-    for ev in &events {
+    out: &SimOutput,
+) -> (RunRecord, RunAnalysis) {
+    core.reset();
+    for ev in &out.events {
         core.feed(ev);
     }
     let predictions = core.predictions().expect("scoring enabled");
-    let analysis = core.finish();
-    let surviving = SimOutput {
-        events,
-        truth: out.truth,
-    };
+    let analysis = core.analysis();
     let record = RunRecord::from_run(
         area.operator,
         &area.name,
         location,
         device,
         seed,
-        &surviving,
+        out,
         &analysis,
         &predictions,
     );
-    (record, surviving, analysis, stats)
+    (record, analysis)
 }
 
-/// Per-worker run scratch: everything the fused sim→detect pipeline
-/// recycles across batched runs so the steady state allocates nothing.
+/// Per-area precomputation, built once and shared by every job (and every
+/// worker): the policy and the radio tables. Tables are salt-independent —
+/// each UE applies its own per-run fading salt inside its sampler — so one
+/// unsalted build serves all seeds.
+struct AreaCtx<'a> {
+    area: &'a Area,
+    policy: OperatorPolicy,
+    tables: RadioTables<'a>,
+}
+
+/// Per-worker run scratch: everything the run pipeline recycles across
+/// jobs so the clean steady state allocates nothing.
 ///
 /// One instance lives for a worker's whole drain. Analyzers are keyed by
 /// operator because the §6 scoring config differs per operator; each is
-/// [`TraceAnalyzer::reset`] between runs, which is observationally
-/// identical to a fresh core (pinned by the `reset_core_equals_fresh_core`
-/// proptest in `onoff-detect`), so the dataset stays bitwise-identical.
-/// `outs` and `rec_pool` recycle the simulator's event/truth vectors
-/// through [`UeBatch::run_into`] — see DESIGN.md §16 for the reset-safety
-/// contract.
+/// reset between runs by [`analyze_run`]. `outs` and `rec_pool` recycle
+/// the simulator's event/truth vectors through [`UeBatch::run_into`] — see
+/// DESIGN.md §16 for the reset-safety contract.
 #[derive(Default)]
 struct RunScratch {
     analyzers: FxMap<Operator, TraceAnalyzer>,
@@ -301,32 +247,95 @@ impl Merge for Aggregates {
 }
 
 impl Aggregates {
-    /// Runs one chaos-mode job: retries with backoff and fresh chaos
-    /// seeds, accepts the first attempt whose loss stays in bounds, and
-    /// quarantines the run when every attempt fails (by loss or by panic).
-    fn run_chaotic(
+    /// Executes one job out of the worker's [`RunScratch`] and folds it
+    /// into this shard.
+    ///
+    /// The run is simulated exactly once, as a one-UE [`UeBatch`] over the
+    /// area's shared tables, writing into the pooled `SimOutput`. Clean
+    /// mode analyzes that output directly; chaos mode hands it to
+    /// [`Aggregates::run_chaotic`], which replaces its events with what
+    /// survives the dirty capture — or quarantines the run.
+    fn absorb(
         &mut self,
-        area: &Area,
+        ctx: &AreaCtx<'_>,
+        device: &DeviceProfile,
         job: &Job,
         cfg: &CampaignConfig,
+        scratch: &mut RunScratch,
+    ) {
+        let RunScratch {
+            analyzers,
+            outs,
+            rec_pool,
+        } = scratch;
+        let area = ctx.area;
+        let mut batch = UeBatch::new(
+            &ctx.policy,
+            device,
+            &ctx.tables,
+            cfg.duration_ms,
+            MEAS_PERIOD_MS,
+        );
+        batch.push_with_recorder(
+            MovementPath::Stationary(area.locations[job.location]),
+            job.seed,
+            rec_pool.pop().unwrap_or_default(),
+        );
+        batch.run_into(outs, rec_pool);
+        let out = &mut outs[0];
+        let core = analyzers.entry(area.operator).or_insert_with(|| {
+            TraceAnalyzer::with_scoring(scoring_config_for(area.operator, &ctx.policy))
+        });
+        let run = match &cfg.chaos {
+            None => Some(analyze_run(
+                core,
+                area,
+                job.location,
+                cfg.device,
+                job.seed,
+                out,
+            )),
+            Some(opts) => self.run_chaotic(core, area, job, cfg.device, opts, out),
+        };
+        // Quarantined runs are in the ledger, not the aggregates.
+        if let Some((record, analysis)) = run {
+            self.fold_run(area.operator, cfg.duration_ms, record, out, &analysis);
+        }
+    }
+
+    /// Chaos transform of one simulated run: renders the trace to NSG text
+    /// once, then per attempt corrupts it with a fresh reproducible chaos
+    /// seed, re-parses it under the lossy policy and analyzes what
+    /// survived. The first attempt whose loss stays in bounds is accepted
+    /// with its surviving events left in `out`, so the record and the
+    /// aggregates reflect what an analyst reading the dirty capture would
+    /// see. Failed attempts (by loss or by panic) are retried with
+    /// backoff; a run that fails every attempt is quarantined.
+    ///
+    /// The panic guard covers every stage that sees corrupted bytes:
+    /// corrupt, parse and analyze. The simulator sees no chaos input and
+    /// runs unguarded, as on the clean path.
+    fn run_chaotic(
+        &mut self,
+        core: &mut TraceAnalyzer,
+        area: &Area,
+        job: &Job,
+        device: PhoneModel,
         opts: &ChaosOptions,
-    ) -> Option<(RunRecord, SimOutput, onoff_detect::RunAnalysis)> {
+        out: &mut SimOutput,
+    ) -> Option<(RunRecord, RunAnalysis)> {
         let attempts = opts.max_attempts.max(1);
         let mut last_reason = String::new();
-        // Whether the job is poisoned doesn't change between attempts, so
-        // the chaos config is picked (and the destroy config materialized)
-        // once per job, then borrowed by every attempt.
         let poisoned = opts
             .poison
             .as_ref()
             .is_some_and(|(a, l)| *a == area.name && *l == job.location);
-        let destroy;
-        let chaos_cfg: &ChaosConfig = if poisoned {
-            destroy = ChaosConfig::destroy();
-            &destroy
+        let chaos_cfg = if poisoned {
+            ChaosConfig::destroy()
         } else {
-            &opts.chaos
+            opts.chaos.clone()
         };
+        let log = out.to_log();
         for attempt in 1..=attempts {
             if attempt > 1 && opts.backoff_base_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(
@@ -336,24 +345,18 @@ impl Aggregates {
             // Fresh fault pattern per attempt, reproducible from the job.
             let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_location_chaotic(
-                    area,
-                    job.location,
-                    cfg.device,
-                    job.seed,
-                    cfg.duration_ms,
-                    chaos_cfg,
-                    opts.policy,
-                    chaos_seed,
-                )
+                let dirty = ChaosEngine::new(chaos_cfg.clone(), chaos_seed).corrupt_text(&log);
+                let stats = parse_str_lossy_into(&dirty, opts.policy, &mut out.events);
+                let run = analyze_run(core, area, job.location, device, job.seed, out);
+                (run, stats)
             }));
             match result {
-                Ok((record, out, analysis, stats)) => {
-                    if stats.loss_ratio() <= opts.max_loss_ratio {
-                        self.quarantine.records_lost += stats.skipped;
-                        self.quarantine.timestamps_repaired += stats.timestamps_repaired;
-                        return Some((record, out, analysis));
-                    }
+                Ok((run, stats)) if stats.loss_ratio() <= opts.max_loss_ratio => {
+                    self.quarantine.records_lost += stats.skipped;
+                    self.quarantine.timestamps_repaired += stats.timestamps_repaired;
+                    return Some(run);
+                }
+                Ok((_, stats)) => {
                     last_reason = format!(
                         "loss ratio {:.2} exceeds {:.2}",
                         stats.loss_ratio(),
@@ -374,96 +377,14 @@ impl Aggregates {
         None
     }
 
-    /// Executes one job and folds its outputs into this shard.
-    fn absorb(&mut self, area: &Area, job: &Job, cfg: &CampaignConfig) {
-        let run = match &cfg.chaos {
-            None => Some(run_location(
-                area,
-                job.location,
-                cfg.device,
-                job.seed,
-                cfg.duration_ms,
-            )),
-            Some(opts) => self.run_chaotic(area, job, cfg, opts),
-        };
-        let Some((record, out, analysis)) = run else {
-            // Quarantined: the run is in the ledger, not the aggregates.
-            return;
-        };
-        self.fold_run(area.operator, cfg.duration_ms, record, &out, &analysis);
-    }
-
-    /// Executes one contiguous same-area batch of jobs over the area's
-    /// shared precomputed tables, then feeds each run through the same
-    /// fused analysis as [`run_location`].
-    ///
-    /// The whole pipeline runs out of the worker's [`RunScratch`]: the
-    /// batch recycles pooled recorders and writes into the pooled
-    /// `SimOutput`s (no event/truth vector is allocated in steady state),
-    /// and the per-operator analyzer — scorer included — is `reset`
-    /// between runs instead of rebuilt. `reset` is observationally
-    /// identical to a fresh core (pinned by `reset_core_equals_fresh_core`
-    /// in `onoff-detect`), so the dataset stays bitwise-identical to the
-    /// per-run pipeline at any worker count.
-    #[allow(clippy::too_many_arguments)]
-    fn absorb_batch(
-        &mut self,
-        area: &Area,
-        policy: &OperatorPolicy,
-        tables: &RadioTables<'_>,
-        device: &DeviceProfile,
-        jobs: &[Job],
-        cfg: &CampaignConfig,
-        scratch: &mut RunScratch,
-    ) {
-        let RunScratch {
-            analyzers,
-            outs,
-            rec_pool,
-        } = scratch;
-        let mut batch = UeBatch::new(policy, device, tables, cfg.duration_ms, 1000);
-        for job in jobs {
-            batch.push_with_recorder(
-                MovementPath::Stationary(area.locations[job.location]),
-                job.seed,
-                rec_pool.pop().unwrap_or_default(),
-            );
-        }
-        batch.run_into(outs, rec_pool);
-        let core = analyzers.entry(area.operator).or_insert_with(|| {
-            TraceAnalyzer::with_scoring(scoring_config_for(area.operator, policy))
-        });
-        for (job, out) in jobs.iter().zip(outs.iter()) {
-            core.reset();
-            for ev in &out.events {
-                core.feed(ev);
-            }
-            let predictions = core.predictions().expect("scoring enabled");
-            let analysis = core.analysis();
-            let record = RunRecord::from_run(
-                area.operator,
-                &area.name,
-                job.location,
-                cfg.device,
-                job.seed,
-                out,
-                &analysis,
-                &predictions,
-            );
-            self.fold_run(area.operator, cfg.duration_ms, record, out, &analysis);
-        }
-    }
-
-    /// Folds one finished run (record + trace + analysis) into this shard —
-    /// the single accumulation point shared by the per-job, batched and
-    /// chaos pipelines.
+    /// Folds one finished run (record + trace + analysis) into this shard.
     fn fold_run(
         &mut self,
         operator: Operator,
         duration_ms: u64,
         record: RunRecord,
         out: &SimOutput,
-        analysis: &onoff_detect::RunAnalysis,
+        analysis: &RunAnalysis,
     ) {
         self.quarantine.clamped_events += analysis.degradation.clamped_events;
         let usage_nr = self.usage_nr.entry(operator).or_default();
@@ -540,70 +461,39 @@ fn enumerate_jobs(areas: &[Area], cfg: &CampaignConfig) -> Vec<Job> {
     jobs
 }
 
-/// Jobs per [`UeBatch`] on the clean path. Enough UEs to amortize a
-/// batch's lockstep sweep over the shared tables, small enough that a
-/// straggler area tail still load-balances across workers.
-const BATCH: usize = 8;
-
-/// Splits the area-major job list into contiguous same-area spans of at
-/// most [`BATCH`] jobs; every span shares one environment (and therefore
-/// one set of precomputed tables).
-fn batch_spans(jobs: &[Job]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0;
-    while start < jobs.len() {
-        let area_idx = jobs[start].area_idx;
-        let mut end = start + 1;
-        while end < jobs.len() && end - start < BATCH && jobs[end].area_idx == area_idx {
-            end += 1;
-        }
-        spans.push((start, end));
-        start = end;
-    }
-    spans
-}
-
-/// Drains `units` with `workers` threads claiming through a shared atomic
-/// cursor, folding into per-worker [`Aggregates`] shards merged at the
-/// end. Every [`Merge`] impl is commutative, so the result is independent
-/// of both worker count and unit interleaving.
+/// Drains the job list with `workers` threads claiming jobs through a
+/// shared atomic cursor, folding into per-worker [`Aggregates`] shards
+/// merged at the end. Every [`Merge`] impl is commutative, so the result
+/// is independent of both worker count and job interleaving. One worker
+/// drains inline on the caller's thread.
 ///
-/// Each worker also owns one scratch value built by `make_scratch`,
-/// threaded through every `absorb` call it makes — the hook that lets the
-/// batched pipeline reuse its recorders, output buffers, and analyzers
-/// across all units a worker drains. Scratch never crosses workers and
-/// never outlives the drain, so (given reset-safe reuse, see DESIGN.md
-/// §16) it cannot affect the merged result.
-fn drain_shards<U: Sync, S>(
-    units: &[U],
-    workers: usize,
-    make_scratch: impl Fn() -> S + Sync,
-    absorb: impl Fn(&mut Aggregates, &mut S, &U) + Sync,
-) -> Aggregates {
-    if workers <= 1 {
-        let mut agg = Aggregates::default();
-        let mut scratch = make_scratch();
-        for unit in units {
-            absorb(&mut agg, &mut scratch, unit);
-        }
-        return agg;
-    }
+/// Each worker owns one [`RunScratch`] for its whole drain. Scratch never
+/// crosses workers and never outlives the drain, so (given reset-safe
+/// reuse, see DESIGN.md §16) it cannot affect the merged result.
+fn run_jobs(areas: &[Area], jobs: &[Job], workers: usize, cfg: &CampaignConfig) -> Aggregates {
+    let ctxs: Vec<AreaCtx<'_>> = areas
+        .iter()
+        .map(|area| AreaCtx {
+            area,
+            policy: policy_for(area.operator),
+            tables: RadioTables::new(&area.env),
+        })
+        .collect();
+    let device = cfg.device.profile();
     let cursor = AtomicUsize::new(0);
+    let drain = || {
+        let mut shard = Aggregates::default();
+        let mut scratch = RunScratch::default();
+        while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            shard.absorb(&ctxs[job.area_idx], &device, job, cfg, &mut scratch);
+        }
+        shard
+    };
+    if workers == 1 {
+        return drain();
+    }
     let mut shards = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut shard = Aggregates::default();
-                    let mut scratch = make_scratch();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(unit) = units.get(i) else { break };
-                        absorb(&mut shard, &mut scratch, unit);
-                    }
-                    shard
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("campaign worker panicked"))
@@ -616,55 +506,13 @@ fn drain_shards<U: Sync, S>(
     agg
 }
 
-/// Drains the job list. The clean path groups contiguous same-area jobs
-/// into [`UeBatch`]es stepping over per-area precomputed [`RadioTables`];
-/// chaos mode keeps the per-run dirty-capture pipeline (render → corrupt
-/// → lossy re-parse is inherently per-run text work).
-fn run_jobs(areas: &[Area], jobs: &[Job], cfg: &CampaignConfig) -> Aggregates {
-    let workers = cfg.parallelism.workers.max(1).min(jobs.len().max(1));
-    if cfg.chaos.is_some() {
-        // The dirty-capture pipeline is per-run text work; it carries no
-        // reusable scratch.
-        return drain_shards(
-            jobs,
-            workers,
-            || (),
-            |shard, (), job| shard.absorb(&areas[job.area_idx], job, cfg),
-        );
-    }
-    // Per-area precomputation, built once and shared by every batch (and
-    // every worker): the policy, the device profile, and the radio tables.
-    // Tables are salt-independent — each UE applies its own per-run fading
-    // salt inside its sampler — so one unsalted build serves all seeds.
-    let policies: Vec<OperatorPolicy> = areas.iter().map(|a| policy_for(a.operator)).collect();
-    let tables: Vec<RadioTables<'_>> = areas.iter().map(|a| RadioTables::new(&a.env)).collect();
-    let device = cfg.device.profile();
-    let spans = batch_spans(jobs);
-    drain_shards(
-        &spans,
-        workers,
-        RunScratch::default,
-        |shard, scratch, &(start, end)| {
-            let area_idx = jobs[start].area_idx;
-            shard.absorb_batch(
-                &areas[area_idx],
-                &policies[area_idx],
-                &tables[area_idx],
-                &device,
-                &jobs[start..end],
-                cfg,
-                scratch,
-            )
-        },
-    )
-}
-
 /// Runs the full eleven-area campaign and assembles the dataset.
 pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let started = std::time::Instant::now();
     let areas = all_areas(cfg.seed);
     let jobs = enumerate_jobs(&areas, cfg);
-    let mut agg = run_jobs(&areas, &jobs, cfg);
+    let workers = cfg.parallelism.workers.max(1).min(jobs.len().max(1));
+    let mut agg = run_jobs(&areas, &jobs, workers, cfg);
 
     // Deterministic record order regardless of thread interleaving.
     agg.records.sort_by(|a, b| {
@@ -695,7 +543,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Dataset {
     let secs = wall.as_secs_f64().max(f64::MIN_POSITIVE);
     let stats = CampaignStats {
         runs: jobs.len(),
-        workers: cfg.parallelism.workers.max(1).min(jobs.len().max(1)),
+        workers,
         events_processed: agg.events_processed,
         simulated_ms: agg.simulated_ms,
         wall_ms: wall.as_millis() as u64,

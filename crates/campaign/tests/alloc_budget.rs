@@ -1,6 +1,6 @@
 //! Allocation-budget regression test for the fused campaign path.
 //!
-//! The campaign runner drains every batch out of a per-worker
+//! The campaign runner drains every job out of a per-worker
 //! `RunScratch` (DESIGN.md §16): recorders and `SimOutput` event/truth
 //! vectors are recycled through `UeBatch::run_into`, and one
 //! per-operator `TraceAnalyzer` — warmed scorer included — is `reset`
@@ -10,18 +10,24 @@
 //! silently eroding the `fused-campaign` perf-snapshot numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use onoff_campaign::{run_campaign, CampaignConfig, ParallelismConfig};
 use onoff_policy::PhoneModel;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations this thread made since counting was switched on; `None`
+    /// while it is off. Per thread, so tests the harness runs concurrently
+    /// never bill each other.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot may already be gone while the thread exits.
+        let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
         unsafe { System.alloc(layout) }
     }
 
@@ -32,6 +38,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made meanwhile. Work `f` hands to other threads is not
+/// counted, so the measured region must run on this thread.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(Some(0)));
+    let r = f();
+    let allocs = ALLOCS.with(|n| n.take()).expect("counting was on");
+    (r, allocs)
+}
 
 /// The perf-snapshot `fused-campaign` configuration: one run per
 /// location, single worker, so every allocation is billed to the fused
@@ -58,9 +74,9 @@ fn fused_campaign_allocs_per_event_within_budget() {
         "campaign must process a meaningful event volume"
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let ds = run_campaign(&config());
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    // One worker drains inline on this thread, so every allocation of the
+    // measured campaign is counted.
+    let (ds, allocs) = count_allocs(|| run_campaign(&config()));
     assert_eq!(ds.stats.events_processed, warm.stats.events_processed);
 
     let per_event = allocs as f64 / ds.stats.events_processed as f64;

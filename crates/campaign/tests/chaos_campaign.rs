@@ -95,3 +95,58 @@ fn chaos_campaign_is_worker_count_invariant() {
         serde_json::to_string_pretty(&parallel).unwrap()
     );
 }
+
+/// FNV-1a-64 over a dataset's JSON serialization: a compact fingerprint of
+/// every persisted byte.
+fn dataset_digest(cfg: &CampaignConfig) -> String {
+    let json = serde_json::to_string(&run_campaign(cfg)).unwrap();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in json.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+fn golden_config(chaos: Option<ChaosOptions>) -> CampaignConfig {
+    CampaignConfig {
+        runs_a1: 2,
+        runs_other: 1,
+        duration_ms: 120_000,
+        parallelism: ParallelismConfig::with_workers(2),
+        chaos,
+        ..CampaignConfig::default()
+    }
+}
+
+#[test]
+fn dataset_bytes_match_the_golden_digests() {
+    // Pinned datasets of the clean and dirty-capture pipelines: any change
+    // to what a campaign simulates, corrupts, parses, retries or
+    // quarantines moves one of these digests.
+    let cases = [
+        ("clean", None, "d4c37e06f158c11c"),
+        (
+            "default chaos",
+            Some(ChaosOptions {
+                backoff_base_ms: 0,
+                ..ChaosOptions::default()
+            }),
+            "8d81d579c8a6b935",
+        ),
+        (
+            "intensity 6, repaired timestamps",
+            Some(ChaosOptions {
+                chaos: ChaosConfig::default().with_intensity(6.0),
+                policy: RecoveryPolicy::RepairTimestamps,
+                backoff_base_ms: 0,
+                ..ChaosOptions::default()
+            }),
+            "264be7f6f9fa2519",
+        ),
+        ("poisoned", Some(poisoned_options()), "dd4bcef97fe582fa"),
+    ];
+    for (name, chaos, want) in cases {
+        assert_eq!(dataset_digest(&golden_config(chaos)), want, "{name}");
+    }
+}

@@ -44,7 +44,6 @@ pub mod degrade;
 pub mod export;
 pub mod loops;
 pub mod metrics;
-pub mod render;
 pub mod stream;
 
 pub use cellset::{CsSample, CsTimeline, TimelineBuilder};

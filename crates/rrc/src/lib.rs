@@ -26,15 +26,12 @@
 pub mod arfcn;
 pub mod band;
 pub mod events;
-pub mod glossary;
 pub mod ids;
 pub mod meas;
 pub mod messages;
 pub mod perf;
 pub mod proc;
-pub mod reselection;
 pub mod serving;
-pub mod timers;
 pub mod trace;
 
 pub use arfcn::{earfcn_to_freq_mhz, nr_arfcn_to_freq_mhz, Arfcn};
@@ -47,7 +44,5 @@ pub use messages::{
     ScgFailureType, Trigger,
 };
 pub use perf::{FxMap, InlineVec, StrInterner, Symbol};
-pub use reselection::{RankingParams, SelectionParams};
 pub use serving::{CellGroup, CellRole, ConnState, ServingCellSet};
-pub use timers::{RlfConfig, RlfDetector, T304};
 pub use trace::{LogChannel, LogRecord, Timestamp, TraceEvent};

@@ -3,9 +3,11 @@
 //! [`UeBatch`] lays per-UE connection state out struct-of-arrays: one shared
 //! [`RadioTables`] + [`PolicyTables`] per environment, and per UE a sampler
 //! (its memoization caches), an engine core, an RNG and a recorder. All UEs
-//! advance in lockstep through the measurement grid, so a campaign worker
-//! steps a whole batch of runs over shared tables instead of rebuilding the
-//! radio precomputation per run.
+//! advance in lockstep through the measurement grid over the shared tables,
+//! so no run rebuilds the radio precomputation. The campaign runs one UE per
+//! batch (one job at a time per worker, recycling outputs and recorders
+//! through [`UeBatch::run_into`]); grouping several UEs into one batch
+//! neither changes their output nor, measured on the campaign, its speed.
 //!
 //! Each UE's engine, RNG and sampler are fully independent — a UE's output
 //! is bitwise-identical to [`crate::simulate`] on the equivalent

@@ -9,7 +9,7 @@
 //! before it erodes the `sim-step` perf-snapshot numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use onoff_policy::{op_t_policy, PhoneModel};
 use onoff_radio::{CellSite, Point, RadioEnvironment, RadioTables};
@@ -19,11 +19,17 @@ use onoff_sim::{MovementPath, UeBatch};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations this thread made since counting was switched on; `None`
+    /// while it is off. Per thread, so tests the harness runs concurrently
+    /// never bill each other.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot may already be gone while the thread exits.
+        let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
         unsafe { System.alloc(layout) }
     }
 
@@ -34,6 +40,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made meanwhile. Work `f` hands to other threads is not
+/// counted, so the measured region must run on this thread.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    ALLOCS.with(|n| n.set(Some(0)));
+    let r = f();
+    let allocs = ALLOCS.with(|n| n.take()).expect("counting was on");
+    (r, allocs)
+}
 
 /// A mid-size SA deployment whose per-step sweep reports overflow the
 /// inline report capacity — the demanding case for the spare-buffer pool.
@@ -93,9 +109,7 @@ fn steady_state_batch_allocs_per_event_within_budget() {
     let events: usize = outs.iter().map(|o| o.events.len()).sum();
     assert!(events > 400, "batch must produce a meaningful event volume");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    run_batch(&mut outs, &mut pool);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let ((), allocs) = count_allocs(|| run_batch(&mut outs, &mut pool));
 
     let per_event = allocs as f64 / events as f64;
     // Steady state is pooled; what remains is O(1)-per-cycle bookkeeping
