@@ -1,19 +1,31 @@
 //! `perfsnap` — fixed-workload performance snapshot for the analysis
-//! pipeline.
+//! pipeline, and the workspace's one in-tree micro-benchmark.
 //!
 //! Measures wall-clock throughput (events/sec, bytes/sec) and allocation
-//! counts (allocs/event) for the seven hot workloads the campaign
-//! exercises millions of times:
+//! counts (allocs/event) for the hot workloads the campaign exercises
+//! millions of times, plus the ablation and scaling rows that pair with
+//! them:
 //!
 //! * `parse`          — NSG log text → `Vec<TraceEvent>` (`parse_str`)
 //! * `extract`        — events → CS timeline (`extract_timeline`)
+//! * `extract-raw`    — the uncompressed ablation of `extract`: one
+//!   canonical set per RRC message (DESIGN §4 ✦2)
 //! * `detect`         — events → full `RunAnalysis` (`analyze_trace`)
+//! * `detect-loops`   — loop detection over interned cell-set ids
+//!   (`detect_loops` on the extracted timeline)
+//! * `detect-loops-structural` — the same episodes compared by full
+//!   `ServingCellSet` keys instead of ids (DESIGN §4 ✦3)
 //! * `stream-feed`    — events through the incremental `TraceAnalyzer`
+//! * `stream-feed-8x` — the same over an 8× longer trace; equal ns/event
+//!   with `stream-feed` is the O(1)-feed claim of DESIGN §9
 //! * `predict`        — events through a warm `OnlineScorer` (§6 online
 //!   scoring): must run at exactly 0 allocs/event
 //! * `sim-step`       — one stationary run on the table-driven path
 //!   (`simulate`): the per-step radio sweep the batched campaign amortizes
 //! * `fused-campaign` — a one-run-per-location campaign (`run_campaign`)
+//!   on one worker
+//! * `fused-campaign-w2`, `fused-campaign-w{nproc}` — the same campaign
+//!   on 2 and on all cores: the worker-scaling curve
 //! * `store-encode`   — events → binary columnar store (`encode_events`)
 //! * `store-replay`   — binary store replayed straight into the streaming
 //!   core (`StoreReader::replay`): the re-analysis path that replaces
@@ -24,7 +36,9 @@
 //!
 //! Every workload is deterministic (fixed seeds, fixed tiling), so the
 //! allocation counts are exactly reproducible and the wall numbers are
-//! comparable across commits on the same machine.
+//! comparable across commits on the same machine. The multi-worker rows
+//! are the exception for allocations: which worker's pooled scratch runs
+//! which job depends on scheduling, so their counts vary by a few.
 //!
 //! Usage:
 //!
@@ -41,12 +55,15 @@
 //! deployment sees — min-of-N systematically reported lucky scheduling
 //! windows on shared machines.
 //!
-//! The snapshot schema (`perfsnap/v2`) is one JSON object with a
-//! `workloads` array; each entry carries `events`, `bytes`, `wall_ms`,
-//! `events_per_sec`, `bytes_per_sec`, `allocs`, `allocs_per_event`,
-//! `repetitions`, and — with `--before` — the prior run's numbers under
-//! `"before"`. `--check` fails when events/sec drops below
-//! `before / threshold` or allocs/event rises above `before * threshold`.
+//! The snapshot schema (`perfsnap/v3`) is one JSON object with a `host`
+//! block (`nproc`, `cpu_model`: the worker rows cannot be read without
+//! it), a `store` size block and a `workloads` array; each entry carries
+//! `events`, `bytes`, `wall_ms`, `events_per_sec`, `bytes_per_sec`,
+//! `allocs`, `allocs_per_event`, `repetitions`, and — with `--before` —
+//! the prior run's numbers under `"before"`. `--before`/`--check` read the
+//! `workloads` array of a v2 or v3 file. `--check` fails when events/sec
+//! drops below `before / threshold` or allocs/event rises above
+//! `before * threshold`, and skips rows the file has no entry for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,18 +71,19 @@ use std::time::Instant;
 
 use onoff_campaign::areas::area_a1;
 use onoff_campaign::{CampaignConfig, ParallelismConfig};
-use onoff_detect::cellset::extract_timeline;
+use onoff_detect::cellset::{extract_timeline, CsTimeline};
 use onoff_detect::{analyze_trace, TraceAnalyzer};
 use onoff_policy::{op_t_policy, PhoneModel};
 use onoff_predict::{OnlineScorer, ScoringConfig};
+use onoff_rrc::messages::RrcMessage;
+use onoff_rrc::serving::{CellRole, ServingCellSet};
 use onoff_rrc::trace::TraceEvent;
+use onoff_rrc::{CellId, InlineVec};
 use onoff_serve::{ServeConfig, ServeEngine, SessionMeta};
 use onoff_sim::{simulate, SimConfig};
 use onoff_store::StoreReader;
 
-/// Counts every heap allocation. The binary self-contains the counter
-/// (criterion is a dev-dependency, unavailable to `src/bin` targets); the
-/// pattern mirrors `benches/stream.rs`.
+/// Counts every heap allocation, on every thread.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -176,6 +194,86 @@ fn tile(events: &[TraceEvent], k: u64) -> Vec<TraceEvent> {
     out
 }
 
+/// Raw (uncompressed) extraction, the ablation of `extract_timeline`:
+/// pushes a canonical set for every RRC message rather than only on
+/// change — the time and memory compression avoids.
+fn extract_raw(events: &[TraceEvent]) -> usize {
+    let mut sets: Vec<InlineVec<(CellRole, CellId), 8>> = Vec::new();
+    let mut cs = ServingCellSet::idle();
+    for ev in events {
+        if let TraceEvent::Rrc(rec) = ev {
+            if let RrcMessage::SetupRequest { cell, .. } = &rec.msg {
+                cs = ServingCellSet::with_pcell(*cell);
+            }
+            if matches!(rec.msg, RrcMessage::Release) {
+                cs.release_all();
+            }
+            sets.push(cs.canonical_key());
+        }
+    }
+    sets.len()
+}
+
+/// Structural-comparison episode matching, the ablation of interning in
+/// `detect_loops`: the same ON-started episodes, but built from cloned
+/// `ServingCellSet`s and matched by recomputing canonical keys on every
+/// comparison. Returns the number of repeated episode pairs.
+fn detect_structural(tl: &CsTimeline) -> usize {
+    let mut episodes: Vec<Vec<ServingCellSet>> = Vec::new();
+    let mut prev_on = false;
+    for cs in tl.samples.iter().map(|s| &tl.sets[s.id]) {
+        let on = cs.uses_5g();
+        if on && !prev_on {
+            episodes.push(Vec::new());
+        }
+        if let Some(e) = episodes.last_mut() {
+            e.push(cs.clone());
+        }
+        prev_on = on;
+    }
+    let mut repeats = 0;
+    for (i, a) in episodes.iter().enumerate() {
+        for b in &episodes[i + 1..] {
+            if a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.canonical_key() == y.canonical_key())
+            {
+                repeats += 1;
+            }
+        }
+    }
+    repeats
+}
+
+/// Feeds `events` through a fresh incremental core and finishes it.
+fn stream_feed(events: &[TraceEvent]) -> (u64, u64) {
+    let mut core = TraceAnalyzer::new();
+    for ev in events {
+        core.feed(ev);
+    }
+    let analysis = core.finish();
+    std::hint::black_box(analysis.loops.len());
+    (events.len() as u64, 0)
+}
+
+/// The `fused-campaign` workload on `workers` workers.
+fn fused_campaign(workers: usize) -> Sample {
+    let cfg = CampaignConfig {
+        seed: 0x050FF,
+        runs_a1: 1,
+        runs_other: 1,
+        device: PhoneModel::OnePlus12R,
+        duration_ms: 60_000,
+        parallelism: ParallelismConfig::with_workers(workers),
+        chaos: None,
+    };
+    run_workload(5, || {
+        let ds = onoff_campaign::run_campaign(&cfg);
+        (ds.stats.events_processed, 0)
+    })
+}
+
 /// Size comparison between the two trace representations, reported as a
 /// top-level `"store"` block in the snapshot.
 #[derive(Debug, Clone, Copy)]
@@ -190,7 +288,7 @@ impl StoreInfo {
     }
 }
 
-fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
+fn measure() -> (Vec<(String, Sample)>, StoreInfo) {
     let base = sample_events();
     let events = tile(&base, 4);
     let text = onoff_nsglog::emit(&events);
@@ -206,20 +304,29 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         std::hint::black_box(tl.samples.len());
         (n, 0)
     });
+    let extract_raw = run_workload(5, || {
+        std::hint::black_box(extract_raw(&events));
+        (n, 0)
+    });
     let detect = run_workload(5, || {
         let analysis = analyze_trace(&events);
         std::hint::black_box(analysis.loops.len());
         (n, 0)
     });
-    let stream = run_workload(5, || {
-        let mut core = TraceAnalyzer::new();
-        for ev in &events {
-            core.feed(ev);
-        }
-        let analysis = core.finish();
-        std::hint::black_box(analysis.loops.len());
+    // Loop detection alone runs in microseconds, so its median needs the
+    // store workloads' rep count.
+    let timeline = extract_timeline(&events);
+    let detect_loops = run_workload(21, || {
+        std::hint::black_box(onoff_detect::detect_loops(&timeline).len());
         (n, 0)
     });
+    let detect_loops_structural = run_workload(21, || {
+        std::hint::black_box(detect_structural(&timeline));
+        (n, 0)
+    });
+    let stream = run_workload(5, || stream_feed(&events));
+    let long = tile(&base, 32);
+    let stream_8x = run_workload(5, || stream_feed(&long));
     let predict = {
         // Warm pass outside the metered region: the first traversal grows
         // the measurement table and per-cell reservoirs once. After
@@ -301,39 +408,39 @@ fn measure() -> (Vec<(&'static str, Sample)>, StoreInfo) {
         std::hint::black_box(engine.table().bytes_used());
         (fed, 0)
     });
-    let campaign = run_workload(5, || {
-        let cfg = CampaignConfig {
-            seed: 0x050FF,
-            runs_a1: 1,
-            runs_other: 1,
-            device: PhoneModel::OnePlus12R,
-            duration_ms: 60_000,
-            parallelism: ParallelismConfig::with_workers(1),
-            chaos: None,
-        };
-        let ds = onoff_campaign::run_campaign(&cfg);
-        (ds.stats.events_processed, 0)
-    });
+    let campaign = fused_campaign(1);
+    // The worker curve: 2 workers and every core, each once.
+    let mut curve = vec![2, ParallelismConfig::all_cores().workers.max(2)];
+    curve.dedup();
+    let curve: Vec<(String, Sample)> = curve
+        .into_iter()
+        .map(|w| (format!("fused-campaign-w{w}"), fused_campaign(w)))
+        .collect();
 
     let info = StoreInfo {
         text_bytes: bytes,
         binary_bytes: store_bytes.len() as u64,
     };
-    (
-        vec![
-            ("parse", parse),
-            ("extract", extract),
-            ("detect", detect),
-            ("stream-feed", stream),
-            ("predict", predict),
-            ("sim-step", sim_step),
-            ("fused-campaign", campaign),
-            ("store-encode", store_encode),
-            ("store-replay", store_replay),
-            ("serve-ingest", serve_ingest),
-        ],
-        info,
-    )
+    let mut results: Vec<(String, Sample)> = [
+        ("parse", parse),
+        ("extract", extract),
+        ("extract-raw", extract_raw),
+        ("detect", detect),
+        ("detect-loops", detect_loops),
+        ("detect-loops-structural", detect_loops_structural),
+        ("stream-feed", stream),
+        ("stream-feed-8x", stream_8x),
+        ("predict", predict),
+        ("sim-step", sim_step),
+        ("fused-campaign", campaign),
+        ("store-encode", store_encode),
+        ("store-replay", store_replay),
+        ("serve-ingest", serve_ingest),
+    ]
+    .map(|(name, s)| (name.to_string(), s))
+    .into();
+    results.extend(curve);
+    (results, info)
 }
 
 /// The prior numbers for one workload, as loaded from a snapshot file.
@@ -375,13 +482,45 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The machine a snapshot was taken on, reported as a top-level `"host"`
+/// block: the worker-curve rows cannot be read without it.
+struct Host {
+    nproc: usize,
+    /// The first `model name` line of `/proc/cpuinfo`, or `"unknown"`.
+    cpu_model: String,
+}
+
+impl Host {
+    fn detect() -> Host {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .filter_map(|l| l.split_once(':'))
+                    .find(|(key, _)| key.trim() == "model name")
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        Host {
+            nproc: ParallelismConfig::all_cores().workers,
+            cpu_model,
+        }
+    }
+}
+
 /// Renders the snapshot JSON (stable key order, two-space indent).
 fn render(
-    results: &[(&'static str, Sample)],
+    host: &Host,
+    results: &[(String, Sample)],
     info: StoreInfo,
     priors: &[(String, Prior)],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"perfsnap/v2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"perfsnap/v3\",\n");
+    out.push_str(&format!(
+        "  \"host\": {{\"nproc\": {}, \"cpu_model\": {}}},\n",
+        host.nproc,
+        serde_json::to_string(&host.cpu_model).expect("a string serializes"),
+    ));
     out.push_str(&format!(
         "  \"store\": {{\"text_bytes\": {}, \"binary_bytes\": {}, \"compression_ratio\": {:.3}}},\n",
         info.text_bytes,
@@ -445,10 +584,12 @@ fn main() {
         }
     }
 
+    let host = Host::detect();
+    eprintln!("{:>23}: nproc {}, {}", "host", host.nproc, host.cpu_model);
     let (results, info) = measure();
     for (name, s) in &results {
         eprintln!(
-            "{name:>15}: {:>10.0} events/s  {:>12.0} bytes/s  {:>8.2} allocs/event  ({:.1} ms)",
+            "{name:>23}: {:>10.0} events/s  {:>12.0} bytes/s  {:>8.2} allocs/event  ({:.3} ms)",
             s.events_per_sec(),
             s.bytes_per_sec(),
             s.allocs_per_event(),
@@ -463,14 +604,14 @@ fn main() {
     };
 
     eprintln!(
-        "{:>15}: text {} bytes -> binary {} bytes ({:.2}x)",
+        "{:>23}: text {} bytes -> binary {} bytes ({:.2}x)",
         "store",
         info.text_bytes,
         info.binary_bytes,
         info.compression_ratio(),
     );
 
-    let json = render(&results, info, &priors);
+    let json = render(&host, &results, info, &priors);
     if let Err(e) = std::fs::write(&out_path, &json) {
         die(&format!("cannot write {out_path}: {e}"));
     }

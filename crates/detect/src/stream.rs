@@ -115,24 +115,6 @@ impl TraceAnalyzer {
         self.scorer = Some(OnlineScorer::new(config));
     }
 
-    /// A core that adopts an existing scorer — typically one recovered via
-    /// [`take_scorer`](Self::take_scorer) and passed through
-    /// [`OnlineScorer::reset_session`], so batch drivers can reuse the
-    /// scorer's maps and reservoirs across runs instead of reallocating
-    /// them per run. `reset_session` is observationally identical to a
-    /// fresh scorer, so results cannot depend on the reuse.
-    pub fn with_scorer(scorer: OnlineScorer) -> TraceAnalyzer {
-        let mut a = TraceAnalyzer::new();
-        a.scorer = Some(scorer);
-        a
-    }
-
-    /// Removes and returns the scorer (disabling further scoring), so its
-    /// allocations can outlive this core.
-    pub fn take_scorer(&mut self) -> Option<OnlineScorer> {
-        self.scorer.take()
-    }
-
     /// Returns the core to its freshly-constructed state while keeping
     /// every internal buffer's capacity — and the scorer's warmed maps,
     /// via [`OnlineScorer::reset_session`] — so a pooled core replays a
