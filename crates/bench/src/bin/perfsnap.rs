@@ -7,6 +7,8 @@
 //! them:
 //!
 //! * `parse`          — NSG log text → `Vec<TraceEvent>` (`parse_str`)
+//! * `emit`           — `Vec<TraceEvent>` → NSG log text (`emit_to` into
+//!   one reused `String`), the other half of the text codec
 //! * `extract`        — events → CS timeline (`extract_timeline`)
 //! * `extract-raw`    — the uncompressed ablation of `extract`: one
 //!   canonical set per RRC message (DESIGN §4 ✦2)
@@ -299,6 +301,12 @@ fn measure() -> (Vec<(String, Sample)>, StoreInfo) {
         let parsed = onoff_nsglog::parse_str(&text).expect("workload text parses");
         (parsed.len() as u64, bytes)
     });
+    let mut emitted = String::new();
+    let emit = run_workload(5, || {
+        emitted.clear();
+        onoff_nsglog::emit_to(&events, &mut emitted).expect("fmt::Write to a String is infallible");
+        (n, emitted.len() as u64)
+    });
     let extract = run_workload(5, || {
         let tl = extract_timeline(&events);
         std::hint::black_box(tl.samples.len());
@@ -423,6 +431,7 @@ fn measure() -> (Vec<(String, Sample)>, StoreInfo) {
     };
     let mut results: Vec<(String, Sample)> = [
         ("parse", parse),
+        ("emit", emit),
         ("extract", extract),
         ("extract-raw", extract_raw),
         ("detect", detect),

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use onoff_detect::channel::{ChannelUsage, Merge, ScellModStats};
 use onoff_detect::{RunAnalysis, TraceAnalyzer};
-use onoff_nsglog::parse_str_lossy_into;
+use onoff_nsglog::{emit_to, parse_str_lossy_into};
 use onoff_policy::{policy_for, DeviceProfile, Operator, OperatorPolicy, PhoneModel};
 use onoff_radio::noise::hash_words;
 use onoff_radio::RadioTables;
@@ -206,12 +206,24 @@ struct AreaCtx<'a> {
 /// operator because the §6 scoring config differs per operator; each is
 /// reset between runs by [`analyze_run`]. `outs` and `rec_pool` recycle
 /// the simulator's event/truth vectors through [`UeBatch::run_into`] — see
-/// DESIGN.md §16 for the reset-safety contract.
+/// DESIGN.md §16 for the reset-safety contract. `logs` are the chaos
+/// transform's text buffers (unused on the clean path).
 #[derive(Default)]
 struct RunScratch {
     analyzers: FxMap<Operator, TraceAnalyzer>,
     outs: Vec<SimOutput>,
     rec_pool: Vec<Recorder>,
+    logs: LogBufs,
+}
+
+/// The chaos transform's pooled text: the run's rendered log and the
+/// corrupted copy each attempt parses. Both are cleared, never freed, so
+/// a worker stops allocating log text once its buffers have grown to the
+/// longest run's log.
+#[derive(Default)]
+struct LogBufs {
+    clean: String,
+    dirty: String,
 }
 
 /// Aggregates accumulated by one worker (and, after merging, the whole
@@ -267,6 +279,7 @@ impl Aggregates {
             analyzers,
             outs,
             rec_pool,
+            logs,
         } = scratch;
         let area = ctx.area;
         let mut batch = UeBatch::new(
@@ -286,16 +299,11 @@ impl Aggregates {
         let core = analyzers.entry(area.operator).or_insert_with(|| {
             TraceAnalyzer::with_scoring(scoring_config_for(area.operator, &ctx.policy))
         });
+        let mut analyze =
+            |out: &SimOutput| analyze_run(core, area, job.location, cfg.device, job.seed, out);
         let run = match &cfg.chaos {
-            None => Some(analyze_run(
-                core,
-                area,
-                job.location,
-                cfg.device,
-                job.seed,
-                out,
-            )),
-            Some(opts) => self.run_chaotic(core, area, job, cfg.device, opts, out),
+            None => Some(analyze(out)),
+            Some(opts) => self.run_chaotic(area, job, opts, out, logs, analyze),
         };
         // Quarantined runs are in the ledger, not the aggregates.
         if let Some((record, analysis)) = run {
@@ -305,24 +313,25 @@ impl Aggregates {
 
     /// Chaos transform of one simulated run: renders the trace to NSG text
     /// once, then per attempt corrupts it with a fresh reproducible chaos
-    /// seed, re-parses it under the lossy policy and analyzes what
-    /// survived. The first attempt whose loss stays in bounds is accepted
-    /// with its surviving events left in `out`, so the record and the
-    /// aggregates reflect what an analyst reading the dirty capture would
-    /// see. Failed attempts (by loss or by panic) are retried with
-    /// backoff; a run that fails every attempt is quarantined.
+    /// seed, re-parses it under the lossy policy and runs `analyze` on
+    /// what survived. Both texts live in the worker's pooled [`LogBufs`].
+    /// The first attempt whose loss stays in bounds is accepted with its
+    /// surviving events left in `out`, so the record and the aggregates
+    /// reflect what an analyst reading the dirty capture would see.
+    /// Failed attempts (by loss or by panic) are retried with backoff; a
+    /// run that fails every attempt is quarantined.
     ///
     /// The panic guard covers every stage that sees corrupted bytes:
     /// corrupt, parse and analyze. The simulator sees no chaos input and
     /// runs unguarded, as on the clean path.
     fn run_chaotic(
         &mut self,
-        core: &mut TraceAnalyzer,
         area: &Area,
         job: &Job,
-        device: PhoneModel,
         opts: &ChaosOptions,
         out: &mut SimOutput,
+        logs: &mut LogBufs,
+        mut analyze: impl FnMut(&SimOutput) -> (RunRecord, RunAnalysis),
     ) -> Option<(RunRecord, RunAnalysis)> {
         let attempts = opts.max_attempts.max(1);
         let mut last_reason = String::new();
@@ -335,7 +344,9 @@ impl Aggregates {
         } else {
             opts.chaos.clone()
         };
-        let log = out.to_log();
+        let LogBufs { clean, dirty } = logs;
+        clean.clear();
+        emit_to(&out.events, clean).expect("fmt::Write to a String is infallible");
         for attempt in 1..=attempts {
             if attempt > 1 && opts.backoff_base_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(
@@ -345,9 +356,9 @@ impl Aggregates {
             // Fresh fault pattern per attempt, reproducible from the job.
             let chaos_seed = hash_words(&[job.seed, u64::from(attempt), 0xC4A05]);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                let dirty = ChaosEngine::new(chaos_cfg.clone(), chaos_seed).corrupt_text(&log);
-                let stats = parse_str_lossy_into(&dirty, opts.policy, &mut out.events);
-                let run = analyze_run(core, area, job.location, device, job.seed, out);
+                ChaosEngine::new(chaos_cfg.clone(), chaos_seed).corrupt_text_into(clean, dirty);
+                let stats = parse_str_lossy_into(dirty, opts.policy, &mut out.events);
+                let run = analyze(out);
                 (run, stats)
             }));
             match result {

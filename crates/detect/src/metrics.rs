@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use onoff_rrc::trace::TraceEvent;
+use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 use crate::cellset::CsTimeline;
 use crate::loops::LoopInstance;
@@ -55,7 +55,7 @@ fn median(xs: &mut [f64]) -> Option<f64> {
 
 /// Computes run metrics from the trace, timeline and detected loops.
 pub fn run_metrics(events: &[TraceEvent], tl: &CsTimeline, loops: &[LoopInstance]) -> RunMetrics {
-    let samples: Vec<(onoff_rrc::trace::Timestamp, f64)> = events
+    let samples: Vec<(Timestamp, f64)> = events
         .iter()
         .filter_map(|e| match e {
             TraceEvent::Throughput { t, mbps } => Some((*t, *mbps)),
@@ -68,19 +68,34 @@ pub fn run_metrics(events: &[TraceEvent], tl: &CsTimeline, loops: &[LoopInstance
 /// Computes run metrics from pre-extracted throughput samples — the only
 /// thing the metrics need from the trace. Streaming callers accumulate the
 /// (small) sample list instead of buffering every event.
+///
+/// Runs in O((samples + intervals + cycles) · log): each sample finds its
+/// ON/OFF interval by binary search (the timeline's intervals are sorted
+/// and contiguous), and each loop cycle's window is a `partition_point`
+/// slice of a time-sorted copy of the samples. A window's median depends
+/// only on the multiset of its speeds, so the result is bitwise what a
+/// scan of every sample per interval and per cycle gives, in any sample
+/// order.
 pub fn run_metrics_from_samples(
-    samples: &[(onoff_rrc::trace::Timestamp, f64)],
+    samples: &[(Timestamp, f64)],
     tl: &CsTimeline,
     loops: &[LoopInstance],
 ) -> RunMetrics {
     let onoff = tl.on_off_intervals();
-    let is_on_at = |t: onoff_rrc::trace::Timestamp| -> bool {
+    debug_assert!(
         onoff
-            .iter()
-            .find(|(s, e, _)| t >= *s && t < *e)
-            .or(onoff.last().filter(|(_, e, _)| t >= *e))
-            .map(|(_, _, on)| *on)
-            .unwrap_or(false)
+            .windows(2)
+            .all(|w| w[0].0 <= w[0].1 && w[0].1 <= w[1].0),
+        "on/off intervals must be sorted and disjoint"
+    );
+    // The interval holding `t`, or the last one once `t` is past the
+    // timeline's end; OFF before the first interval starts.
+    let is_on_at = |t: Timestamp| -> bool {
+        let i = onoff.partition_point(|(_, e, _)| *e <= t);
+        match onoff.get(i) {
+            Some((s, _, on)) => *s <= t && *on,
+            None => onoff.last().is_some_and(|(_, _, on)| *on),
+        }
     };
 
     let mut on_ms = 0u64;
@@ -104,20 +119,22 @@ pub fn run_metrics_from_samples(
     }
 
     let mut cycle_stats = Vec::new();
-    for lp in loops {
-        for c in &lp.cycles {
-            let mut on_v: Vec<f64> = samples
-                .iter()
-                .filter(|(t, _)| *t >= c.on_at && *t < c.off_at)
-                .map(|(_, m)| *m)
-                .collect();
-            let mut off_v: Vec<f64> = samples
-                .iter()
-                .filter(|(t, _)| *t >= c.off_at && *t < c.end_at)
-                .map(|(_, m)| *m)
-                .collect();
-            let on_mbps = median(&mut on_v);
-            let off_mbps = median(&mut off_v);
+    if loops.iter().any(|lp| !lp.cycles.is_empty()) {
+        // Stable sort: streamed samples arrive in time order, so this is
+        // a single linear pass over an already-sorted run.
+        let mut by_time = samples.to_vec();
+        by_time.sort_by_key(|(t, _)| *t);
+        let mut window: Vec<f64> = Vec::new();
+        let mut median_in = |from: Timestamp, to: Timestamp| {
+            let lo = by_time.partition_point(|(t, _)| *t < from);
+            let hi = by_time.partition_point(|(t, _)| *t < to).max(lo);
+            window.clear();
+            window.extend(by_time[lo..hi].iter().map(|(_, m)| *m));
+            median(&mut window)
+        };
+        for c in loops.iter().flat_map(|lp| &lp.cycles) {
+            let on_mbps = median_in(c.on_at, c.off_at);
+            let off_mbps = median_in(c.off_at, c.end_at);
             cycle_stats.push(CycleStat {
                 cycle_ms: c.cycle_ms(),
                 off_ms: c.off_ms(),
@@ -245,6 +262,150 @@ mod tests {
         assert_eq!(m.on_ms, 0);
         assert_eq!(m.median_on_mbps, None);
         assert!(m.cycle_stats.is_empty());
+    }
+
+    /// The quadratic scan [`run_metrics_from_samples`] replaced, kept as
+    /// its oracle: every interval scanned per sample, every sample
+    /// scanned per cycle.
+    fn scan_oracle(
+        samples: &[(Timestamp, f64)],
+        tl: &CsTimeline,
+        loops: &[LoopInstance],
+    ) -> RunMetrics {
+        let onoff = tl.on_off_intervals();
+        let is_on_at = |t: Timestamp| -> bool {
+            onoff
+                .iter()
+                .find(|(s, e, _)| t >= *s && t < *e)
+                .or(onoff.last().filter(|(_, e, _)| t >= *e))
+                .map(|(_, _, on)| *on)
+                .unwrap_or(false)
+        };
+        let mut on_ms = 0u64;
+        let mut off_ms = 0u64;
+        for (s, e, on) in &onoff {
+            if *on {
+                on_ms += e.since(*s);
+            } else {
+                off_ms += e.since(*s);
+            }
+        }
+        let (mut on_speeds, mut off_speeds): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+        for &(t, mbps) in samples {
+            if is_on_at(t) {
+                on_speeds.push(mbps);
+            } else {
+                off_speeds.push(mbps);
+            }
+        }
+        let window = |from: Timestamp, to: Timestamp| -> Vec<f64> {
+            samples
+                .iter()
+                .filter(|(t, _)| *t >= from && *t < to)
+                .map(|(_, m)| *m)
+                .collect()
+        };
+        let mut cycle_stats = Vec::new();
+        for c in loops.iter().flat_map(|lp| &lp.cycles) {
+            let on_mbps = median(&mut window(c.on_at, c.off_at));
+            let off_mbps = median(&mut window(c.off_at, c.end_at));
+            cycle_stats.push(CycleStat {
+                cycle_ms: c.cycle_ms(),
+                off_ms: c.off_ms(),
+                off_ratio: c.off_ratio(),
+                on_mbps,
+                off_mbps,
+                loss_mbps: match (on_mbps, off_mbps) {
+                    (Some(a), Some(b)) => Some(a - b),
+                    _ => None,
+                },
+            });
+        }
+        RunMetrics {
+            on_ms,
+            off_ms,
+            median_on_mbps: median(&mut on_speeds),
+            median_off_mbps: median(&mut off_speeds),
+            cycle_stats,
+        }
+    }
+
+    /// Every number of a `RunMetrics` as raw bits, so NaN speeds compare.
+    fn bits(m: &RunMetrics) -> Vec<u64> {
+        let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+        let mut v = vec![
+            m.on_ms,
+            m.off_ms,
+            opt(m.median_on_mbps),
+            opt(m.median_off_mbps),
+        ];
+        for c in &m.cycle_stats {
+            v.extend([
+                c.cycle_ms,
+                c.off_ms,
+                c.off_ratio.to_bits(),
+                opt(c.on_mbps),
+                opt(c.off_mbps),
+                opt(c.loss_mbps),
+            ]);
+        }
+        v
+    }
+
+    proptest::proptest! {
+        /// Bitwise agreement with the scan on random timelines, unsorted
+        /// samples (duplicate times, NaN speeds) and cycles whose windows
+        /// may be empty or inverted. Every time is a whole second, so
+        /// samples often sit exactly on interval and window bounds.
+        #[test]
+        fn matches_the_scan_oracle(
+            steps in proptest::collection::vec((0u64..5, 0usize..3), 1..12),
+            tail in 0u64..5,
+            samples in proptest::collection::vec((0u64..60, 0.0f64..300.0, 0u8..10), 0..40),
+            cycles in proptest::collection::vec((0u64..60, 0u64..60, 0u64..60), 0..6),
+        ) {
+            let s = Timestamp::from_secs;
+            let nr = |pci| ServingCellSet::with_pcell(CellId::nr(Pci(pci), 521310));
+            let mut t = 0;
+            let tl = CsTimeline {
+                sets: vec![ServingCellSet::idle(), nr(1), nr(2)],
+                samples: steps
+                    .iter()
+                    .map(|&(dt, id)| {
+                        t += dt;
+                        CsSample { t: s(t), id }
+                    })
+                    .collect(),
+                end: s(t + tail),
+            };
+            // One sample in ten reads NaN.
+            let samples: Vec<(Timestamp, f64)> = samples
+                .into_iter()
+                .map(|(t, m, k)| (s(t), if k == 0 { f64::NAN } else { m }))
+                .collect();
+            let lp = LoopInstance {
+                block: vec![1, 0],
+                episode_period: 1,
+                repetitions: 2,
+                persistence: crate::loops::Persistence::Persistent,
+                start: Timestamp(0),
+                end: Timestamp(60_000),
+                cycles: cycles
+                    .into_iter()
+                    .map(|(a, b, c)| Cycle {
+                        on_at: s(a),
+                        off_at: s(b),
+                        end_at: s(c),
+                    })
+                    .collect(),
+                degraded: false,
+            };
+            let loops = [lp];
+            proptest::prop_assert_eq!(
+                bits(&run_metrics_from_samples(&samples, &tl, &loops)),
+                bits(&scan_oracle(&samples, &tl, &loops))
+            );
+        }
     }
 
     #[test]

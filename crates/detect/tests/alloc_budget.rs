@@ -203,3 +203,37 @@ fn streaming_parse_and_analyze_peaks_below_batch() {
         "batch peak {batch_peak} B is not 3x the streaming peak {stream_peak} B"
     );
 }
+
+#[test]
+fn emit_into_a_warm_string_allocates_nothing() {
+    use onoff_rrc::trace::{MmState, Timestamp, TraceEvent};
+
+    let mut events = workload(200);
+    let end = events.last().map_or(0, |e| e.t().millis());
+    events.push(TraceEvent::Throughput {
+        t: Timestamp(end + 1),
+        mbps: 203.25,
+    });
+    events.push(TraceEvent::Mm {
+        t: Timestamp(end + 2),
+        state: MmState::DeregisteredNoCellAvailable,
+    });
+    // The first pass grows the string to the whole log; a cleared string
+    // keeps that capacity.
+    let mut text = String::new();
+    onoff_nsglog::emit_to(&events, &mut text).expect("a String sink never fails");
+    let len = text.len();
+    text.clear();
+
+    let (written, allocs) = count_allocs(|| onoff_nsglog::emit_to(&events, &mut text));
+    written.expect("a String sink never fails");
+    assert_eq!(text.len(), len);
+    // Exactly zero: every field is written from stack buffers, and the
+    // throughput float goes through `core::fmt`, which does not allocate.
+    assert_eq!(
+        allocs,
+        0,
+        "emit into a warm String allocated {allocs} times over {} events",
+        events.len()
+    );
+}

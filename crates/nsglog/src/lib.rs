@@ -69,7 +69,7 @@ pub mod stats;
 
 pub use emit::{emit, emit_event, emit_io, emit_to};
 pub use error::{ParseError, ParseErrorKind};
-pub use parse::{parse_lines, parse_str, parse_str_into, ParseLines};
+pub use parse::{parse_lines, parse_str, parse_str_into, text_lines, ParseLines, TextLines};
 pub use recover::{
     parse_str_lossy, parse_str_lossy_into, ParseStats, RecoveringParser, RecoveryPolicy,
 };

@@ -55,10 +55,66 @@ pub fn parse_str_into(text: &str, out: &mut Vec<TraceEvent>) -> Result<(), Parse
     if out.capacity() < want {
         out.reserve(want);
     }
-    for ev in parse_lines(text.lines()) {
+    for ev in parse_lines(text_lines(text)) {
         out.push(ev?);
     }
     Ok(())
+}
+
+/// The lines of `text` exactly as [`str::lines`] yields them — split at
+/// each `\n`, a `\r` right before it dropped, no empty line after a final
+/// `\n` — with the newline search done eight bytes at a time. The batch
+/// drivers split with it; on report-heavy logs it takes about half the
+/// time `str::lines` does.
+pub fn text_lines(text: &str) -> TextLines<'_> {
+    TextLines { rest: text }
+}
+
+/// Iterator of [`text_lines`].
+#[derive(Debug, Clone)]
+pub struct TextLines<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for TextLines<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let (line, rest) = match find_newline(self.rest.as_bytes()) {
+            // `\n` is ASCII, so `i` and `i + 1` are char boundaries.
+            Some(i) => {
+                let line = &self.rest[..i];
+                (line.strip_suffix('\r').unwrap_or(line), &self.rest[i + 1..])
+            }
+            None => (self.rest, ""),
+        };
+        self.rest = rest;
+        Some(line)
+    }
+}
+
+/// Index of the first `\n` in `b`. Each 8-byte word is tested for a
+/// `\n` byte with the zero-byte trick (`(x - 0x01..) & !x & 0x80..` on
+/// `x = word ^ 0x0a..`): a borrow only ever flags bytes *above* a real
+/// match, so the lowest flagged byte is the first newline.
+fn find_newline(b: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    const NEWLINES: u64 = ONES * b'\n' as u64;
+    let mut words = b.chunks_exact(8);
+    for (k, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ NEWLINES;
+        let hits = x.wrapping_sub(ONES) & !x & HIGHS;
+        if hits != 0 {
+            return Some(8 * k + (hits.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = words.remainder();
+    let at = b.len() - tail.len();
+    tail.iter().position(|&c| c == b'\n').map(|p| at + p)
 }
 
 /// Streaming record parser: one `Result<TraceEvent, ParseError>` per record,
@@ -95,23 +151,85 @@ pub struct ParseLines<'a, I: Iterator<Item = &'a str>> {
     /// property of the type, not a runtime assertion.
     lookahead: Option<(usize, &'a str)>,
     done: bool,
-    /// Reusable continuation-line buffer: taken at the start of each
-    /// record, restored after parsing, so the per-record body `Vec`
-    /// allocates once per parser instead of once per record.
-    scratch: Vec<(usize, &'a str)>,
+    /// Reusable continuation-line buffer, each line stored with its
+    /// indent trimmed: taken at the start of each record, restored after
+    /// parsing, so the per-record body `Vec` allocates once per parser
+    /// instead of once per record.
+    scratch: Vec<&'a str>,
+}
+
+/// One non-blank source line, classified once.
+enum Line<'a> {
+    /// A column-0 line: a record head.
+    Head(&'a str),
+    /// An indented line continuing the current record, indent trimmed.
+    Cont(&'a str),
+}
+
+/// Whitespace as `char::is_whitespace` sees it, restricted to ASCII: it
+/// includes U+000B, which `u8::is_ascii_whitespace` does not.
+fn is_ascii_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r')
+}
+
+/// `str::trim_start` with an ASCII fast path: the Unicode scan only runs
+/// from the first non-ASCII byte of the indent on.
+fn trim_start(s: &str) -> &str {
+    let n = s.bytes().position(|b| !is_ascii_ws(b)).unwrap_or(s.len());
+    // Every byte before `n` is ASCII, so `n` is a char boundary.
+    let rest = &s[n..];
+    if rest.as_bytes().first().is_some_and(|b| !b.is_ascii()) {
+        rest.trim_start()
+    } else {
+        rest
+    }
+}
+
+/// `str::trim_end` with the same ASCII fast path as [`trim_start`].
+fn trim_end(s: &str) -> &str {
+    let n = s
+        .bytes()
+        .rposition(|b| !is_ascii_ws(b))
+        .map_or(0, |i| i + 1);
+    // Every byte from `n` on is ASCII, so `n` is a char boundary.
+    let rest = &s[..n];
+    if rest.as_bytes().last().is_some_and(|b| !b.is_ascii()) {
+        rest.trim_end()
+    } else {
+        rest
+    }
+}
+
+/// Classifies a line (CR already stripped) from its first character:
+/// `None` if it is blank, a head if that character is not whitespace, a
+/// continuation otherwise. ASCII lines — everything the emitter writes —
+/// decide on the first byte; only a non-ASCII first character takes
+/// `char::is_whitespace`.
+fn classify(line: &str) -> Option<Line<'_>> {
+    let &first = line.as_bytes().first()?;
+    let indented = if first.is_ascii() {
+        is_ascii_ws(first)
+    } else {
+        line.starts_with(char::is_whitespace)
+    };
+    if !indented {
+        return Some(Line::Head(line));
+    }
+    let rest = trim_start(line);
+    (!rest.is_empty()).then_some(Line::Cont(rest))
 }
 
 impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
     /// Next non-blank line with its 1-based number, CRLF-tolerant.
-    fn next_line(&mut self) -> Option<(usize, &'a str)> {
-        if let Some(held) = self.lookahead.take() {
-            return Some(held);
+    fn next_line(&mut self) -> Option<(usize, Line<'a>)> {
+        if let Some((n, head)) = self.lookahead.take() {
+            return Some((n, Line::Head(head)));
         }
         loop {
             let raw = self.lines.next()?;
             self.lineno += 1;
             let line = raw.strip_suffix('\r').unwrap_or(raw); // tolerate CRLF exports
-            if !line.trim().is_empty() {
+            if let Some(line) = classify(line) {
                 return Some((self.lineno, line));
             }
         }
@@ -133,11 +251,12 @@ impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
         self.done = false;
         let mut skipped = 0;
         while let Some((n, line)) = self.next_line() {
-            if line.starts_with(char::is_whitespace) {
-                skipped += 1;
-            } else {
-                self.lookahead = Some((n, line));
-                break;
+            match line {
+                Line::Cont(_) => skipped += 1,
+                Line::Head(head) => {
+                    self.lookahead = Some((n, head));
+                    break;
+                }
             }
         }
         skipped
@@ -146,13 +265,13 @@ impl<'a, I: Iterator<Item = &'a str>> ParseLines<'a, I> {
     /// Pulls the next line if it continues the current record; otherwise
     /// parks it as the next record's head. This is the peek-then-next of
     /// the old batch loop fused into one infallible call.
-    fn next_continuation(&mut self) -> Option<(usize, &'a str)> {
-        let (n, line) = self.next_line()?;
-        if line.starts_with(char::is_whitespace) {
-            Some((n, line))
-        } else {
-            self.lookahead = Some((n, line));
-            None
+    fn next_continuation(&mut self) -> Option<&'a str> {
+        match self.next_line()? {
+            (_, Line::Cont(rest)) => Some(rest),
+            (n, Line::Head(head)) => {
+                self.lookahead = Some((n, head));
+                None
+            }
         }
     }
 }
@@ -164,21 +283,23 @@ impl<'a, I: Iterator<Item = &'a str>> Iterator for ParseLines<'a, I> {
         if self.done {
             return None;
         }
-        let (lineno, head) = self.next_line()?;
-        if head.starts_with(char::is_whitespace) {
-            self.done = true;
-            return Some(Err(ParseError::new(
-                lineno,
-                ParseErrorKind::OrphanContinuation,
-                head,
-            )));
-        }
+        let head = match self.next_line()? {
+            (lineno, Line::Head(head)) => (lineno, head),
+            (lineno, Line::Cont(rest)) => {
+                self.done = true;
+                return Some(Err(ParseError::new(
+                    lineno,
+                    ParseErrorKind::OrphanContinuation,
+                    rest,
+                )));
+            }
+        };
         let mut body = std::mem::take(&mut self.scratch);
         body.clear();
         while let Some(cont) = self.next_continuation() {
             body.push(cont);
         }
-        let parsed = parse_record(lineno, head, &body);
+        let parsed = parse_record(head.0, head.1, &body);
         self.scratch = body;
         if parsed.is_err() {
             self.done = true;
@@ -187,11 +308,7 @@ impl<'a, I: Iterator<Item = &'a str>> Iterator for ParseLines<'a, I> {
     }
 }
 
-fn parse_record(
-    lineno: usize,
-    head: &str,
-    body: &[(usize, &str)],
-) -> Result<TraceEvent, ParseError> {
+fn parse_record(lineno: usize, head: &str, body: &[&str]) -> Result<TraceEvent, ParseError> {
     let (ts_str, rest) = head
         .split_once(' ')
         .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadTimestamp, head))?;
@@ -241,8 +358,7 @@ fn parse_record(
     let channel = LogChannel::from_label(ch_str)
         .ok_or_else(|| ParseError::new(lineno, ParseErrorKind::BadChannel, head))?;
 
-    let fields = Fields { body };
-    let (context, msg) = parse_message(rat, name.trim(), &fields)
+    let (context, msg) = parse_message(rat, name.trim(), body)
         .map_err(|kind| ParseError::new(lineno, kind, head))?;
 
     Ok(TraceEvent::Rrc(LogRecord {
@@ -254,52 +370,77 @@ fn parse_record(
     }))
 }
 
-/// Access helper over a record's continuation lines.
+/// Access helper over a record's continuation lines (indents trimmed).
 struct Fields<'a> {
-    body: &'a [(usize, &'a str)],
+    body: &'a [&'a str],
 }
 
 impl<'a> Fields<'a> {
-    /// First line starting (after trim) with `prefix`; returns the remainder.
-    fn get(&self, prefix: &str) -> Option<(usize, &'a str)> {
-        self.body.iter().find_map(|(i, l)| {
-            let l = l.trim_start();
-            l.strip_prefix(prefix).map(|r| (*i, r))
-        })
+    /// First line starting with `prefix`; returns the remainder.
+    fn get(&self, prefix: &str) -> Option<&'a str> {
+        self.body.iter().find_map(|l| l.strip_prefix(prefix))
     }
 
-    /// First line starting (after trim) with `prefix`, returned whole
-    /// (prefix included) — lets key=value parsers run on the borrowed line
-    /// without re-assembling it.
-    fn get_line(&self, prefix: &str) -> Option<&'a str> {
-        self.body.iter().find_map(|(_, l)| {
-            let l = l.trim_start();
-            l.starts_with(prefix).then_some(l)
-        })
+    /// Lines strictly inside a `name {` ... `}` block, trimmed, as a
+    /// borrowed iterator over the body slice (no per-record `Vec`).
+    fn block(
+        &self,
+        name: &'static str,
+    ) -> Result<impl Iterator<Item = &'a str> + 'a, ParseErrorKind> {
+        let mut bounds = Block::new(name);
+        for (i, l) in self.body.iter().enumerate() {
+            bounds.scan(i, l);
+        }
+        Ok(self.body[bounds.rows()?].iter().map(|l| trim_end(l)))
+    }
+}
+
+/// Bounds of a `name {` ... `}` block, found in one pass over a body: the
+/// first line reading `name {` opens it, the first `}` line after that
+/// closes it (both compared trimmed).
+struct Block {
+    name: &'static str,
+    open: Option<usize>,
+    close: Option<usize>,
+}
+
+impl Block {
+    fn new(name: &'static str) -> Block {
+        Block {
+            name,
+            open: None,
+            close: None,
+        }
     }
 
-    /// Lines strictly inside a `name {` ... `}` block, as a borrowed
-    /// iterator over the body slice (no per-record `Vec`).
-    fn block(&self, open: &str) -> Result<impl Iterator<Item = &'a str> + 'a, ParseErrorKind> {
-        let range = match self.body.iter().position(|(_, l)| l.trim() == open) {
-            Some(start) => {
-                let inner = &self.body[start + 1..];
-                match inner.iter().position(|(_, l)| l.trim() == "}") {
-                    Some(end) => start + 1..start + 1 + end,
-                    // `open` is e.g. "measConfig {"; report the bare name.
-                    None => {
-                        return Err(ParseErrorKind::UnterminatedBlock(match open {
-                            "sCellToAddModList {" => "sCellToAddModList",
-                            "measConfig {" => "measConfig",
-                            "measResults {" => "measResults",
-                            _ => "block",
-                        }))
-                    }
+    /// Feeds body line `i`.
+    fn scan(&mut self, i: usize, line: &str) {
+        if self.close.is_some() {
+            return;
+        }
+        let line = trim_end(line);
+        match self.open {
+            None => {
+                if line.strip_prefix(self.name) == Some(" {") {
+                    self.open = Some(i);
                 }
             }
-            None => 0..0,
-        };
-        Ok(self.body[range].iter().map(|(_, l)| l.trim()))
+            Some(_) => {
+                if line == "}" {
+                    self.close = Some(i);
+                }
+            }
+        }
+    }
+
+    /// Indices of the rows inside the block: empty if it never opened, an
+    /// error if it opened and never closed.
+    fn rows(&self) -> Result<std::ops::Range<usize>, ParseErrorKind> {
+        match (self.open, self.close) {
+            (None, _) => Ok(0..0),
+            (Some(open), Some(close)) => Ok(open + 1..close),
+            (Some(_), None) => Err(ParseErrorKind::UnterminatedBlock(self.name)),
+        }
     }
 }
 
@@ -365,15 +506,28 @@ fn cell_from_parts(pci: u16, arfcn: u32) -> CellId {
 fn parse_message(
     rat: Rat,
     name: &str,
-    fields: &Fields<'_>,
+    body: &[&str],
 ) -> Result<(Option<CellId>, RrcMessage), ParseErrorKind> {
+    // One pass over the body finds the context line, the report trigger
+    // and the `measResults` block: the first occurrence of each, so every
+    // record parses (and fails) as if each were looked up on its own.
+    let mut ctx_line = None;
+    let mut trigger = None;
+    let mut meas = Block::new("measResults");
+    for (i, &l) in body.iter().enumerate() {
+        if ctx_line.is_none() && l.starts_with("Physical Cell ID = ") {
+            ctx_line = Some(l);
+        }
+        if trigger.is_none() {
+            trigger = l.strip_prefix("trigger = ");
+        }
+        meas.scan(i, l);
+    }
     // Context line, if present — parsed in place on the borrowed line
     // (the key=value grammar includes the leading `Physical Cell ID`
     // pair, so no reconstruction is needed).
-    let ctx = fields
-        .get_line("Physical Cell ID = ")
-        .map(|line| parse_context(rat, line))
-        .transpose()?;
+    let ctx = ctx_line.map(|line| parse_context(rat, line)).transpose()?;
+    let fields = Fields { body };
 
     let msg = match name {
         "MIB" => {
@@ -388,7 +542,7 @@ fn parse_message(
         }
         "SystemInformationBlockType1" => {
             let (cell, _) = ctx.ok_or(ParseErrorKind::MissingField("Physical Cell ID"))?;
-            let (_, v) = fields
+            let v = fields
                 .get("q-RxLevMin = ")
                 .ok_or(ParseErrorKind::MissingField("q-RxLevMin"))?;
             let q: i32 = v
@@ -416,17 +570,20 @@ fn parse_message(
         "RRC Setup" | "RRC Connection Setup" => RrcMessage::Setup,
         "RRCSetup Complete" | "RRC Connection Setup Complete" => RrcMessage::SetupComplete,
         "RRCReconfiguration" | "RRCConnectionReconfiguration" => {
-            RrcMessage::Reconfiguration(parse_reconfig(fields)?)
+            RrcMessage::Reconfiguration(parse_reconfig(&fields)?)
         }
         "RRCReconfiguration Complete" | "RRCConnectionReconfiguration Complete" => {
             RrcMessage::ReconfigurationComplete
         }
         "MeasurementReport" => {
-            let trigger = fields
-                .get("trigger = ")
-                .map(|(_, v)| Trigger::from_label(v.trim()));
-            let mut results = InlineVec::new();
-            for line in fields.block("measResults {")? {
+            let trigger = trigger.map(|v| Trigger::from_label(v.trim()));
+            let rows = &body[meas.rows()?];
+            // The row count is known up front, so a report too long for
+            // the inline rows takes one right-sized heap buffer instead of
+            // spilling and regrowing row by row.
+            let mut results = InlineVec::with_capacity(rows.len());
+            for line in rows {
+                let line = trim_end(line);
                 results.push(match parse_meas_row_fast(line) {
                     Some(r) => r,
                     None => parse_meas_row_general(line)?,
@@ -435,7 +592,7 @@ fn parse_message(
             RrcMessage::MeasurementReport(MeasurementReport { trigger, results })
         }
         "SCGFailureInformation" => {
-            let (_, v) = fields
+            let v = fields
                 .get("failureType = ")
                 .ok_or(ParseErrorKind::MissingField("failureType"))?;
             let failure = ScgFailureType::from_asn1(v.trim())
@@ -443,7 +600,7 @@ fn parse_message(
             RrcMessage::ScgFailureInformation { failure }
         }
         "RRC Reestablishment Request" | "RRC Connection Reestablishment Request" => {
-            let (_, v) = fields
+            let v = fields
                 .get("reestablishmentCause = ")
                 .ok_or(ParseErrorKind::MissingField("reestablishmentCause"))?;
             let cause = ReestablishmentCause::from_asn1(v.trim())
@@ -451,7 +608,7 @@ fn parse_message(
             RrcMessage::ReestablishmentRequest { cause }
         }
         "RRC Reestablishment Complete" | "RRC Connection Reestablishment Complete" => {
-            let (_, v) = fields
+            let v = fields
                 .get("reestablishmentCell = ")
                 .ok_or(ParseErrorKind::MissingField("reestablishmentCell"))?;
             let cell: CellId = v
@@ -568,11 +725,11 @@ fn parse_meas_row_general(line: &str) -> Result<MeasResult, ParseErrorKind> {
 fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
     let mut body = ReconfigBody::default();
 
-    for line in fields.block("sCellToAddModList {")? {
+    for line in fields.block("sCellToAddModList")? {
         body.scell_to_add_mod.push(parse_scell_entry(line)?);
     }
 
-    if let Some((_, rest)) = fields.get("sCellToReleaseList {") {
+    if let Some(rest) = fields.get("sCellToReleaseList {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("sCellToReleaseList"))?;
@@ -588,11 +745,11 @@ fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
         }
     }
 
-    for line in fields.block("measConfig {")? {
+    for line in fields.block("measConfig")? {
         body.meas_config.push(parse_event_line(line)?);
     }
 
-    if let Some((_, rest)) = fields.get("spCellConfig {") {
+    if let Some(rest) = fields.get("spCellConfig {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("spCellConfig"))?;
@@ -601,11 +758,11 @@ fn parse_reconfig(fields: &Fields<'_>) -> Result<ReconfigBody, ParseErrorKind> {
         body.sp_cell = Some(cell_from_parts(pci, arfcn));
     }
 
-    if let Some((_, v)) = fields.get("scg-Release = ") {
+    if let Some(v) = fields.get("scg-Release = ") {
         body.scg_release = v.trim() == "true";
     }
 
-    if let Some((_, rest)) = fields.get("mobilityControlInfo {") {
+    if let Some(rest) = fields.get("mobilityControlInfo {") {
         let inner = rest
             .strip_suffix('}')
             .ok_or(ParseErrorKind::BadField("mobilityControlInfo"))?;
@@ -1031,6 +1188,25 @@ mod tests {
 #[cfg(test)]
 mod crlf_tests {
     use super::*;
+
+    proptest::proptest! {
+        /// `text_lines` is `str::lines`, on texts dense in `\r`, `\n`,
+        /// multi-byte characters and lines longer than a word.
+        #[test]
+        fn text_lines_is_str_lines(picks in proptest::collection::vec(0usize..7, 0..80)) {
+            let text: String = picks
+                .iter()
+                .map(|&k| ["a", "\r", "\n", "\r\n", "é", "\u{b}", "0123456789"][k])
+                .collect();
+            proptest::prop_assert!(
+                text_lines(&text).eq(text.lines()),
+                "{:?}: {:?} vs {:?}",
+                text,
+                text_lines(&text).collect::<Vec<_>>(),
+                text.lines().collect::<Vec<_>>()
+            );
+        }
+    }
 
     #[test]
     fn crlf_logs_parse_like_lf_logs() {

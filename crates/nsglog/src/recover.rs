@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 use crate::error::{ParseError, ParseErrorKind};
-use crate::parse::{parse_lines, ParseLines};
+use crate::parse::{parse_lines, text_lines, ParseLines};
 
 /// What to do when a record fails to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -207,9 +207,9 @@ pub fn parse_str_lossy_into(
     out: &mut Vec<TraceEvent>,
 ) -> ParseStats {
     out.clear();
-    let mut parser = RecoveringParser::new(text.lines(), policy);
+    let mut parser = RecoveringParser::new(text_lines(text), policy);
     out.extend(parser.by_ref().filter_map(Result::ok));
-    parser.stats.clone()
+    parser.stats
 }
 
 #[cfg(test)]

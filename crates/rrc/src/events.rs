@@ -185,76 +185,6 @@ pub enum ReportTrigger {
     ReportAndAct,
 }
 
-/// Renders an event configuration line the way the paper's appendix does,
-/// e.g. `A2 event on 387410: RSRP < -156dbm`.
-pub fn render_event_config(ev: &MeasEvent) -> String {
-    let q = match ev.quantity {
-        TriggerQuantity::Rsrp => "RSRP",
-        TriggerQuantity::Rsrq => "RSRQ",
-    };
-    let unit = match ev.quantity {
-        TriggerQuantity::Rsrp => "dBm",
-        TriggerQuantity::Rsrq => "dB",
-    };
-    match ev.kind {
-        EventKind::A1 { threshold } => {
-            format!(
-                "A1 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                fmt_deci(threshold.0)
-            )
-        }
-        EventKind::A2 { threshold } => {
-            format!(
-                "A2 event on {}: {q} < {}{unit}",
-                ev.arfcn,
-                fmt_deci(threshold.0)
-            )
-        }
-        EventKind::A3 { offset } => {
-            format!(
-                "A3 event on {}: {q} offset > {}{unit}",
-                ev.arfcn,
-                fmt_deci(offset)
-            )
-        }
-        EventKind::A4 { threshold } => {
-            format!(
-                "A4 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                fmt_deci(threshold.0)
-            )
-        }
-        EventKind::A5 { t1, t2 } => format!(
-            "A5 event on {}: {q} < {}{unit} and {q} > {}{unit}",
-            ev.arfcn,
-            fmt_deci(t1.0),
-            fmt_deci(t2.0)
-        ),
-        EventKind::B1 { threshold } => {
-            format!(
-                "B1 event on {}: {q} > {}{unit}",
-                ev.arfcn,
-                fmt_deci(threshold.0)
-            )
-        }
-        EventKind::B2 { t1, t2 } => format!(
-            "B2 event on {}: {q} < {}{unit} and {q} > {}{unit}",
-            ev.arfcn,
-            fmt_deci(t1.0),
-            fmt_deci(t2.0)
-        ),
-    }
-}
-
-fn fmt_deci(deci: i32) -> String {
-    if deci % 10 == 0 {
-        format!("{}", deci / 10)
-    } else {
-        format!("{:.1}", deci as f64 / 10.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,37 +276,6 @@ mod tests {
         // Between the two bands, neither condition fires (sticky region).
         assert!(!ev.entered(m(-99.5, -12.0), m(-99.5, -12.0)));
         assert!(!ev.left(m(-100.5, -12.0), m(-100.5, -12.0)));
-    }
-
-    #[test]
-    fn render_matches_appendix_style() {
-        let a2 = MeasEvent::new(
-            EventKind::A2 {
-                threshold: Threshold::from_db(-156.0),
-            },
-            TriggerQuantity::Rsrp,
-            387410,
-        );
-        assert_eq!(
-            render_event_config(&a2),
-            "A2 event on 387410: RSRP < -156dBm"
-        );
-        let a3 = MeasEvent::new(EventKind::A3 { offset: 60 }, TriggerQuantity::Rsrq, 5815);
-        assert_eq!(
-            render_event_config(&a3),
-            "A3 event on 5815: RSRQ offset > 6dB"
-        );
-        let b1 = MeasEvent::new(
-            EventKind::B1 {
-                threshold: Threshold::from_db(-115.0),
-            },
-            TriggerQuantity::Rsrp,
-            648672,
-        );
-        assert_eq!(
-            render_event_config(&b1),
-            "B1 event on 648672: RSRP > -115dBm"
-        );
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * serving-cell-set bookkeeping ([`serving`]) — the `CS` objects whose
 //!   repeated subsequences define an ON-OFF loop, and
 //! * the signaling-trace record type ([`trace`]) shared by the log codec,
-//!   the simulator and the loop detector.
+//!   the simulator and the loop detector, and
+//! * the byte-level field writers ([`text`]) its log text is printed with.
 //!
 //! Everything is plain data with value semantics; no I/O and no async.
 
@@ -32,6 +33,7 @@ pub mod messages;
 pub mod perf;
 pub mod proc;
 pub mod serving;
+pub mod text;
 pub mod trace;
 
 pub use arfcn::{earfcn_to_freq_mhz, nr_arfcn_to_freq_mhz, Arfcn};

@@ -162,6 +162,19 @@ impl<T, const N: usize> InlineVec<T, N> {
         }
     }
 
+    /// An empty vector with room for `cap` elements: inline when `cap`
+    /// fits, otherwise one heap buffer of exactly `cap`, so a known-long
+    /// fill allocates once instead of spilling and regrowing.
+    pub fn with_capacity(cap: usize) -> InlineVec<T, N> {
+        if cap > N {
+            InlineVec {
+                repr: Repr::Heap(Vec::with_capacity(cap)),
+            }
+        } else {
+            InlineVec::new()
+        }
+    }
+
     /// Appends an element, spilling to the heap at the `N+1`-th push.
     pub fn push(&mut self, value: T) {
         match &mut self.repr {

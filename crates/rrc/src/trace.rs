@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{CellId, Rat};
 use crate::messages::RrcMessage;
+use crate::text::LineBuf;
 
 /// Milliseconds since the start of the capture.
 #[derive(
@@ -50,13 +51,10 @@ impl Timestamp {
         self.0.saturating_sub(earlier.0)
     }
 
-    /// Renders as NSG wall-clock `HH:MM:SS.mmm` (capture starting at 00:00).
+    /// Renders as NSG wall-clock `HH:MM:SS.mmm` (capture starting at 00:00;
+    /// hours past 99 take as many digits as they need).
     pub fn hms(self) -> String {
-        let ms = self.0 % 1000;
-        let s = (self.0 / 1000) % 60;
-        let m = (self.0 / 60_000) % 60;
-        let h = self.0 / 3_600_000;
-        format!("{h:02}:{m:02}:{s:02}.{ms:03}")
+        self.to_string()
     }
 
     /// Parses `HH:MM:SS.mmm`.
@@ -78,9 +76,10 @@ impl Timestamp {
     }
 }
 
+/// The [`Timestamp::hms`] text, written by [`LineBuf::hms`].
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.hms())
+        f.write_str(LineBuf::<24>::new().hms(self.0).as_str())
     }
 }
 

@@ -36,10 +36,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
 proptest! {
     /// `InlineVec<_, 4>` stays element-for-element identical to `Vec`
     /// through arbitrary op sequences long enough to spill (N = 4, up to
-    /// 24 ops) and back down through pops and clears.
+    /// 24 ops) and back down through pops and clears, whether it starts
+    /// inline or presized onto the heap.
     #[test]
-    fn inline_vec_matches_vec(ops in prop::collection::vec(arb_op(), 0..24)) {
-        let mut iv: InlineVec<u32, 4> = InlineVec::new();
+    fn inline_vec_matches_vec(ops in prop::collection::vec(arb_op(), 0..24), cap in 0usize..10) {
+        let mut iv: InlineVec<u32, 4> = InlineVec::with_capacity(cap);
+        prop_assert_eq!(iv.spilled(), cap > 4);
         let mut v: Vec<u32> = Vec::new();
         for op in ops {
             match op {

@@ -11,9 +11,11 @@
 //!
 //! Two mutation surfaces, composable through one engine:
 //!
-//! * **text** ([`ChaosEngine::corrupt_text`]) — line truncation, garbage
-//!   lines, single-character field corruption; exercises the parser's
-//!   recovery path ([`onoff_nsglog::RecoveringParser`]).
+//! * **text** ([`ChaosEngine::corrupt_text`], or
+//!   [`ChaosEngine::corrupt_text_into`] a reused buffer) — line
+//!   truncation, garbage lines, single-character field corruption;
+//!   exercises the parser's recovery path
+//!   ([`onoff_nsglog::RecoveringParser`]).
 //! * **events** ([`ChaosEngine::corrupt_events`]) — duplication, forward
 //!   clock jumps, clock rollbacks and displacement beyond the stream
 //!   reorder horizon; exercises the analyzers' degradation accounting.
@@ -30,6 +32,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use onoff_nsglog::text_lines;
 use onoff_rrc::trace::{Timestamp, TraceEvent};
 
 /// Per-record / per-line fault probabilities and magnitudes.
@@ -305,7 +308,16 @@ impl ChaosEngine {
     /// Corrupts raw NSG text line by line.
     pub fn corrupt_text(&mut self, text: &str) -> String {
         let mut out = String::with_capacity(text.len());
-        for (i, line) in text.lines().enumerate() {
+        self.corrupt_text_into(text, &mut out);
+        out
+    }
+
+    /// [`Self::corrupt_text`] into a caller-owned buffer: `out` is
+    /// cleared, then filled with the corrupted text, keeping its capacity,
+    /// so a retry loop corrupts every attempt into one buffer.
+    pub fn corrupt_text_into(&mut self, text: &str, out: &mut String) {
+        out.clear();
+        for (i, line) in text_lines(text).enumerate() {
             if self.draw(self.cfg.garbage_line) {
                 let pick = self.rng.random_range(0..GARBAGE_POOL.len());
                 out.push_str(GARBAGE_POOL[pick]);
@@ -337,7 +349,6 @@ impl ChaosEngine {
             }
             out.push('\n');
         }
-        out
     }
 
     /// Corrupts an event stream: duplication, persistent clock skew
@@ -697,6 +708,21 @@ mod tests {
         assert_eq!(a.lines().count(), 2 * text.lines().count());
         assert_eq!(ma.summary()["garbage-line"], 3);
         assert_eq!(ma.summary()["truncated-line"], 3);
+    }
+
+    #[test]
+    fn corrupting_into_a_used_buffer_matches_a_fresh_one() {
+        let text = "00:00:01.000 MM5G State = REGISTERED\n\
+                    00:00:02.000 Throughput = 1.5 Mbps\n";
+        let cfg = ChaosConfig::default().with_intensity(30.0);
+        let mut reused = String::from("left over from an earlier attempt\n");
+        for seed in 0..8 {
+            let fresh = ChaosEngine::new(cfg.clone(), seed).corrupt_text(text);
+            let mut engine = ChaosEngine::new(cfg.clone(), seed);
+            engine.corrupt_text_into(text, &mut reused);
+            assert_eq!(reused, fresh, "seed {seed}");
+            assert_eq!(engine.manifest().seed, seed);
+        }
     }
 
     fn sample_frames() -> Vec<Vec<u8>> {
